@@ -50,6 +50,7 @@ impl Conn {
     /// Connect to `addr` with `timeout` applied to connect/read/write.
     pub fn connect(addr: SocketAddr, timeout: Duration) -> std::io::Result<Conn> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         let read_half = stream.try_clone()?;
@@ -59,7 +60,8 @@ impl Conn {
         })
     }
 
-    /// Perform one exchange on this connection.
+    /// Perform one exchange on this connection. The request goes out as
+    /// one buffer in one write, like the server's responses.
     pub fn request(
         &mut self,
         method: &str,
@@ -75,8 +77,9 @@ impl Conn {
             head.push_str(&format!("Content-Length: {}\r\n", body.len()));
         }
         head.push_str("\r\n");
-        self.writer.write_all(head.as_bytes())?;
-        self.writer.write_all(body)?;
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(body);
+        self.writer.write_all(&wire)?;
         self.writer.flush()?;
         read_response(&mut self.reader)
     }

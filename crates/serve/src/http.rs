@@ -328,6 +328,10 @@ impl Response {
 }
 
 /// Write a complete response; `close` controls the `Connection` header.
+///
+/// Head and body go out as one buffer in one `write_all`: written
+/// separately, the body would sit in Nagle's buffer until the peer's
+/// delayed ACK of the head (~40 ms) on a socket without `TCP_NODELAY`.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response, close: bool) -> std::io::Result<()> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -344,8 +348,9 @@ pub fn write_response<W: Write>(w: &mut W, resp: &Response, close: bool) -> std:
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    w.write_all(head.as_bytes())?;
-    w.write_all(&resp.body)?;
+    let mut wire = head.into_bytes();
+    wire.extend_from_slice(&resp.body);
+    w.write_all(&wire)?;
     w.flush()
 }
 
@@ -375,15 +380,17 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
         Ok(ChunkedWriter { w, done: false })
     }
 
-    /// Write one chunk (empty input is skipped: a zero-length chunk would
-    /// terminate the stream).
+    /// Write one chunk — size line, data and CRLF in one buffer, for the
+    /// same reason as [`write_response`] (empty input is skipped: a
+    /// zero-length chunk would terminate the stream).
     pub fn chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
         if data.is_empty() {
             return Ok(());
         }
-        write!(self.w, "{:x}\r\n", data.len())?;
-        self.w.write_all(data)?;
-        self.w.write_all(b"\r\n")?;
+        let mut wire = format!("{:x}\r\n", data.len()).into_bytes();
+        wire.extend_from_slice(data);
+        wire.extend_from_slice(b"\r\n");
+        self.w.write_all(&wire)?;
         self.w.flush()
     }
 
@@ -507,6 +514,51 @@ mod tests {
         let doc: serde_json::Value = serde_json::from_str(&body).expect("valid JSON");
         assert_eq!(doc["status"], 429u64);
         assert!(resp.extra_headers.iter().any(|(k, _)| k == "Retry-After"));
+    }
+
+    /// A `Write` double that counts `write` calls (each one is a send on
+    /// a socket) and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn responses_and_chunks_each_go_out_in_one_write() {
+        let mut w = CountingWriter::default();
+        let resp = Response::json(429, "{\"error\":\"x\"}".into())
+            .with_header("Retry-After", "1".to_string());
+        write_response(&mut w, &resp, true).expect("write");
+        assert_eq!(w.writes, 1, "head and body in one write");
+        assert!(w.bytes.ends_with(b"\r\n\r\n{\"error\":\"x\"}"));
+
+        let mut w = CountingWriter::default();
+        {
+            let mut cw = ChunkedWriter::begin(&mut w, 200, "application/x-ndjson").expect("begin");
+            assert_eq!(cw.w.writes, 1, "stream head in one write");
+            cw.chunk(b"{\"a\":1}\n").expect("chunk");
+            assert_eq!(cw.w.writes, 2, "size line, data and CRLF in one write");
+            cw.chunk(b"").expect("empty chunk skipped");
+            assert_eq!(cw.w.writes, 2, "an empty chunk writes nothing");
+            cw.chunk(b"{\"b\":2}\n").expect("chunk");
+            assert_eq!(cw.w.writes, 3);
+            cw.finish().expect("finish");
+        }
+        assert_eq!(w.writes, 4);
+        assert!(w.bytes.ends_with(b"8\r\n{\"b\":2}\n\r\n0\r\n\r\n"));
     }
 
     #[test]

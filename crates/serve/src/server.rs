@@ -238,6 +238,9 @@ impl Server {
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => continue,
                 Err(e) => return Err(e),
             };
+            // responses are written whole (see `write_response`), so
+            // nothing is gained by letting Nagle coalesce small sends
+            let _ = stream.set_nodelay(true);
             let shared = Arc::clone(&self.shared);
             shared.stats.connections.fetch_add(1, Ordering::Relaxed);
             if shared.connections.load(Ordering::Relaxed) >= shared.config.max_connections {

@@ -167,6 +167,31 @@ fn malformed_oversized_and_truncated_requests_reject_without_panic() {
     assert!(doc["protocol_errors"].as_u64().expect("protocol_errors") >= 2);
 }
 
+#[test]
+fn deeply_nested_bodies_are_400_and_the_server_keeps_serving() {
+    let addr = boot("nesting", |_| {});
+    // 10 KB of nesting, far under the body limit: unbounded recursion in
+    // the JSON parser would overflow the connection thread's stack and
+    // abort the whole process
+    for (path, body) in [
+        ("/eval", "[".repeat(10_000)),
+        ("/eval", "{\"a\":".repeat(10_000)),
+        ("/suite", "[".repeat(10_000)),
+    ] {
+        let resp =
+            once(addr, "POST", path, &[], body.as_bytes(), TIMEOUT).expect("nested exchange");
+        assert_eq!(resp.status, 400, "{path} with {}…", &body[..8]);
+        assert!(resp.text().contains("nesting"), "{}", resp.text());
+    }
+
+    let health = once(addr, "GET", "/healthz", &[], b"", TIMEOUT).expect("healthz");
+    assert_eq!(health.status, 200);
+    let statz = once(addr, "GET", "/statz", &[], b"", TIMEOUT).expect("statz");
+    assert_eq!(statz.status, 200);
+    let doc: Value = serde_json::from_str(&statz.text()).expect("statz is JSON");
+    assert_eq!(doc["panics"], 0u64);
+}
+
 /// Read just the status code of a raw response, if the server sent one.
 fn read_raw_status(stream: TcpStream) -> Option<u16> {
     use std::io::{BufRead, BufReader};

@@ -25,8 +25,9 @@
 //! body), the seeded 50-exchange mixed workload under the heavy
 //! wire-fault profile (any 5xx fails), a /statz snapshot written to
 //! `target/repro/serve-smoke/statz.json` (any recorded panic fails), a
-//! torn-store-entry scan, and a second zero-permit server that must
-//! answer a deterministic 429 while /healthz stays reachable.
+//! torn-store-entry scan, a 10 000-deep nested JSON body that must get a
+//! 400 while /healthz stays reachable, and a second zero-permit server
+//! that must answer a deterministic 429 while /healthz stays reachable.
 //!
 //! `dialect-smoke` — exercise the multi-dialect frontend end to end:
 //! `repro --audit` first (the dialect-translate task's gold translations
@@ -333,7 +334,9 @@ const SERVE_SMOKE_EVAL: &str =
 /// 4. snapshot /statz to `target/repro/serve-smoke/statz.json` and fail
 ///    on any recorded panic, then scan the store for torn entries
 ///    (leftover `.tmp` files from interrupted atomic writes);
-/// 5. boot a second server with `--serve-inflight 0` and require the
+/// 5. post 10 000-deep nested JSON bodies: each must be a 400, and
+///    /healthz must still answer;
+/// 6. boot a second server with `--serve-inflight 0` and require the
 ///    deterministic 429 + Retry-After rejection.
 fn serve_smoke(root: &Path) -> i32 {
     // build the server and client binaries once up front so the spawns
@@ -457,7 +460,7 @@ fn run_servectl(root: &Path, addr: &str, args: &[&str]) -> Result<(i32, String),
     Ok((code, stdout))
 }
 
-/// Steps 2–4 of the smoke against the primary server.
+/// Steps 2–5 of the smoke against the primary server.
 fn drive_serve_smoke(root: &Path, addr: &str, out_dir: &Path, store: &Path) -> Result<(), String> {
     let (code, _) = run_servectl(root, addr, &["health"])?;
     if code != 0 {
@@ -519,6 +522,28 @@ fn drive_serve_smoke(root: &Path, addr: &str, out_dir: &Path, store: &Path) -> R
     if !torn.is_empty() {
         return Err(format!("torn store entries after soak: {torn:?}"));
     }
+
+    expect_nesting_400(root, addr)
+}
+
+/// A 10 KB body of nested `[` (and of nested `{"a":`) must be a 400 from
+/// the JSON nesting cap — unbounded recursion would overflow the
+/// connection thread's stack and abort the server — and the server must
+/// still answer /healthz afterwards.
+fn expect_nesting_400(root: &Path, addr: &str) -> Result<(), String> {
+    for body in ["[".repeat(10_000), "{\"a\":".repeat(10_000)] {
+        let (code, out) = run_servectl(root, addr, &["eval", &body])?;
+        if code != 1 || !out.starts_with("HTTP 400") {
+            return Err(format!(
+                "deeply nested body should answer 400 (servectl exit 1), got exit {code}:\n{out}"
+            ));
+        }
+    }
+    let (code, _) = run_servectl(root, addr, &["health"])?;
+    if code != 0 {
+        return Err("healthz must stay reachable after deeply nested bodies".to_string());
+    }
+    println!("serve-smoke: 10 000-deep nested bodies rejected with 400, /healthz still up");
     Ok(())
 }
 
